@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: build, tests, lints, race/chaos smoke, and the perf-regression
-# gate, with per-stage wall-clock timings.
+# CI gate: build, tests, lints, race/chaos smoke, and the benchmark
+# smoke, with per-stage wall-clock timings.
 #
 #   ./ci.sh          full gate — everything below (chaos + perf)
 #   ./ci.sh quick    quick gate: debug tests, clippy, golden EXPLAIN
@@ -8,14 +8,14 @@
 #                    parallel-suite run, the kill-point quick slice,
 #                    the quick shard-differential slice, unwrap gate —
 #                    skips the release build, the full chaos suites,
-#                    the perf gate, and the smokes
+#                    and the smokes
 #   ./ci.sh chaos    common stages + the fault/concurrency suites:
 #                    default-thread parallel run, chaos property suite,
 #                    shared-store suite, 120-seed recovery sweep, WAL
 #                    fuzz, full shard differential + dead-shard chaos
-#   ./ci.sh perf     common stages + release build, the perf-regression
-#                    gate (BENCH_10.json), and the E24/E26/E28/E29/E30
-#                    smokes
+#   ./ci.sh perf     common stages + release build, the benchmark smoke
+#                    (wiring and answers, never a rate), and the
+#                    E24/E26 smokes
 #
 # `chaos` and `perf` partition the full gate's slow tail so CI can run
 # them as parallel jobs; `full` remains their union for local use.
@@ -160,18 +160,16 @@ unwrap_gate() {
 }
 stage "no-new-unwrap gate" unwrap_gate
 
-# Perf-regression gate (perf mode): measures the pinned E25/E22/E27/E28
-# subset plus the batched-planner throughput and the sharded slice
-# serving point (N=4 throughput and N=4/N=1 pruning scaling) in release,
-# writes BENCH_10.json, and fails (exit 1) if throughput regresses more than 25%
-# against the committed bench_baseline.json (or the deterministic cache
-# hit rate drops >0.05); environment problems exit 2. Re-baseline after
-# an intentional perf trade or a hardware change:
-#   cargo run -p statcube-bench --release --bin perf_gate -- --write-baseline
-# then commit bench_baseline.json.
+# Benchmark smoke (perf mode): the end-to-end benchmark in the form
+# BENCHMARK.json runs it (its own package, release), on the tiny smoke
+# dataset with every workload traced, a few seconds in all. It exits
+# non-zero when any answer disagrees with the store-free executor or
+# recovery with a rebuild ("correct": false). CI checks wiring and answers
+# here, never a rate.
 if $run_perf; then
-    stage "perf-regression gate (BENCH_10.json vs bench_baseline.json)" \
-        cargo run -q -p statcube-bench --release --bin perf_gate
+    stage "benchmark smoke (all workloads, answers verified)" \
+        cargo run --release --quiet \
+        --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --smoke
 fi
 
 # Observability smoke (perf mode): profile one CUBE query end to end and
@@ -187,35 +185,6 @@ fi
 if $run_perf; then
     stage "planner rewrite ablation smoke (E26)" \
         cargo run -q -p statcube-bench --bin experiments -- exp26
-fi
-
-# Durability smoke (perf mode): E28 measures the journal-append overhead
-# on the fold path and recovery replay time vs journal tail length,
-# asserting in-line that journaling stays cheap and checkpoints bound
-# replay.
-if $run_perf; then
-    stage "durability cost + recovery replay smoke (E28)" \
-        cargo run -q -p statcube-bench --bin experiments -- exp28
-fi
-
-# Vectorized-execution smoke (perf mode): E29 re-measures the batched
-# kernels against the tuple interpreter (answers asserted identical
-# in-line), the chunk-size sweep, and the run-aware RLE kernel. Fails if
-# the kernels stop winning or diverge.
-if $run_perf; then
-    stage "vectorized execution smoke (E29 kernels vs interpreter)" \
-        cargo run -q -p statcube-bench --bin experiments -- exp29
-fi
-
-# Sharded-execution smoke (perf mode): E30 sweeps shard counts on the
-# pinned sharded serving workload and asserts in-line (release builds)
-# that shard-key slice pruning delivers >=2.5x throughput at N=4, that a
-# healthy scatter is complete, and that a dead shard degrades to typed
-# partial answers. Release: the binary is already built by this mode's
-# first stage, and the scaling assertion only arms under optimization.
-if $run_perf; then
-    stage "sharded execution smoke (E30 pruning + degradation)" \
-        cargo run -q --release -p statcube-bench --bin experiments -- exp30
 fi
 
 echo "CI gate ($mode) passed in $((SECONDS - total_start))s."

@@ -37,8 +37,7 @@ fn make_input(cards: &[usize], rows: usize, seed: u64) -> FactInput {
 pub fn run() -> String {
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // Big enough to show scaling where cores exist, small enough to keep
-    // `experiments all` quick; the criterion bench (`bench_parallel`) runs
-    // the full 1M-row workload.
+    // `experiments all` quick.
     let cards = [50usize, 20, 10, 8];
     let rows = 200_000;
     let input = make_input(&cards, rows, 22);

@@ -1,22 +1,19 @@
 //! # statcube-bench
 //!
-//! The benchmark harness regenerating every figure and surveyed claim of
-//! Shoshani (PODS 1997). Two layers:
-//!
-//! * **experiment binaries** — `cargo run -p statcube-bench --release --bin
-//!   experiments -- <expNN|all>` prints, for each experiment in DESIGN.md's
-//!   index, the table whose *shape* the paper reports (who wins, by what
-//!   factor, where crossovers fall);
-//! * **criterion benches** — `cargo bench -p statcube-bench` measures the
-//!   hot paths (CUBE strategies, storage scans, MOLAP/ROLAP, probes).
+//! The experiment harness regenerating every figure and surveyed claim of
+//! Shoshani (PODS 1997): `cargo run -p statcube-bench --release --bin
+//! experiments -- <expNN|all>` prints, for each experiment in DESIGN.md's
+//! index, the table whose *shape* the paper reports (who wins, by what
+//! factor, where crossovers fall).
 //!
 //! Every experiment module exposes `run() -> String` and is unit-tested on
 //! its qualitative claim, so `cargo test` already guards the shapes.
+//! End-to-end performance is measured in one place only: the `benchmark`
+//! binary (`src/bin/benchmark`, see its README).
 
 #![warn(missing_docs)]
 
 pub mod report;
-pub mod serving;
 
 /// One module per experiment of DESIGN.md's per-experiment index.
 pub mod exps {
@@ -44,12 +41,7 @@ pub mod exps {
     pub mod exp22;
     pub mod exp23;
     pub mod exp24;
-    pub mod exp25;
     pub mod exp26;
-    pub mod exp27;
-    pub mod exp28;
-    pub mod exp29;
-    pub mod exp30;
 }
 
 /// One experiment: `(id, title, runner)`.
@@ -82,11 +74,6 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("exp22", "partition-parallel CUBE speedup curve", exps::exp22::run),
         ("exp23", "degradation cost under injected faults", exps::exp23::run),
         ("exp24", "query-profile observability (spans + metrics)", exps::exp24::run),
-        ("exp25", "serving-layer cache hit-rate and speedup curves", exps::exp25::run),
         ("exp26", "planner rewrite ablation — cells scanned on retail", exps::exp26::run),
-        ("exp27", "incremental maintenance under concurrent reads", exps::exp27::run),
-        ("exp28", "durability cost and recovery replay", exps::exp28::run),
-        ("exp29", "vectorized execution: batch kernels vs tuple interpreter", exps::exp29::run),
-        ("exp30", "scatter-gather sharding: pruning, overhead, degradation", exps::exp30::run),
     ]
 }

@@ -27,7 +27,7 @@ use crate::measure::{AggState, SummaryFunction};
 
 /// Rows per processing batch: small enough that a batch's keys, selection
 /// vector, and accumulators stay cache-resident, large enough to amortize
-/// per-batch setup. The E29 sweep measures the ~1–4k plateau this sits on.
+/// per-batch setup.
 pub const BATCH: usize = 2048;
 
 /// One measure slot's aggregation states, stored column-wise (the

@@ -29,8 +29,6 @@ use statcube_core::plan::{
 };
 use statcube_core::trace::{self, QueryProfile};
 use statcube_storage::chunks::group_merge_states_into;
-use statcube_storage::extendible::ExtendibleArray;
-use statcube_storage::io_stats::DEFAULT_PAGE_SIZE;
 use statcube_storage::page_store::{FaultPlan, FaultStats, PageStore};
 use statcube_storage::verify::ScrubReport;
 
@@ -51,11 +49,6 @@ pub struct ViewStore {
     pages: PageStore,
     /// mask → file id in `pages`.
     files: HashMap<u32, usize>,
-    /// The dense \[RZ86\] base organization, maintained by the append path
-    /// when the cross product fits [`DENSE_BASE_CELL_LIMIT`]: a delta
-    /// introducing unseen dimension values grows it by increment segments
-    /// (O(increment) appends, no relocation) instead of restructuring.
-    base_dense: Option<ExtendibleArray>,
     /// Decoded columnar image of each sealed view, keyed by mask and pinned
     /// to the file epoch it was parsed at. Serves repeat loads without
     /// re-reading (or re-parsing) the pages — but **never** while a fault
@@ -88,40 +81,6 @@ pub struct DeltaReport {
     /// Cells merged across all materialized views (the incremental work,
     /// versus a rebuild's full recomputation).
     pub cells_touched: u64,
-    /// Extendible-array growth for previously-unseen dimension values:
-    /// `(dimension, indices added)` per grown dimension.
-    pub extended_dims: Vec<(usize, usize)>,
-}
-
-/// Ceiling on dense base cells: past this the extendible-array base
-/// organization is not maintained and the sparse sealed views remain the
-/// only base representation (8 MiB of f64 cells at the limit).
-const DENSE_BASE_CELL_LIMIT: usize = 1 << 20;
-
-/// The cross-product cell count, if it is computable and within
-/// [`DENSE_BASE_CELL_LIMIT`].
-fn dense_cell_count(cards: &[usize]) -> Option<usize> {
-    cards
-        .iter()
-        .try_fold(1usize, |acc, &c| acc.checked_mul(c))
-        .filter(|&n| n <= DENSE_BASE_CELL_LIMIT)
-}
-
-/// Builds the dense extendible-array image of the base cuboid (cell = sum),
-/// or `None` when the cross product is too large.
-fn dense_base_of(base: &Cuboid, cards: &[usize]) -> Option<ExtendibleArray> {
-    dense_cell_count(cards)?;
-    let mut arr = ExtendibleArray::new(cards, DEFAULT_PAGE_SIZE).ok()?;
-    let mut coords = vec![0usize; cards.len()];
-    for (key, state) in base {
-        for (c, &k) in coords.iter_mut().zip(key.iter()) {
-            *c = k as usize;
-        }
-        if arr.set(&coords, state.sum).is_err() {
-            return None;
-        }
-    }
-    Some(arr)
 }
 
 /// The answer to a cuboid query, with its measured cost and (when the
@@ -295,13 +254,11 @@ impl ViewStore {
         let measured: Vec<(u32, u64)> = views.iter().map(|(&m, c)| (m, c.len() as u64)).collect();
         let lattice = lattice.with_measured_sizes(&measured);
         let (pages, files) = seal_views(&views);
-        let base_dense = views.get(&top).and_then(|b| dense_base_of(b, input.cards()));
         Ok(Self {
             lattice,
             views,
             pages,
             files,
-            base_dense,
             decoded: RwLock::default(),
             streamed: RwLock::default(),
         })
@@ -320,13 +277,11 @@ impl ViewStore {
         }
         let measured: Vec<(u32, u64)> = views.iter().map(|(&m, c)| (m, c.len() as u64)).collect();
         let (pages, files) = seal_views(&views);
-        let base_dense = views.get(&top).and_then(|b| dense_base_of(b, cards));
         Ok(Self {
             lattice: lattice.with_measured_sizes(&measured),
             views,
             pages,
             files,
-            base_dense,
             decoded: RwLock::default(),
             streamed: RwLock::default(),
         })
@@ -336,8 +291,8 @@ impl ViewStore {
     /// recovery path: a durable snapshot record carries `cards`, the base
     /// row count, and every sealed view's cells, and this reconstitutes the
     /// exact store they were captured from (same lattice, same measured
-    /// sizes, fresh seals, dense base re-derived). The base cuboid
-    /// (`top` mask) must be among `views`.
+    /// sizes, fresh seals). The base cuboid (`top` mask) must be among
+    /// `views`.
     pub fn from_views(
         cards: &[usize],
         base_rows: u64,
@@ -354,13 +309,11 @@ impl ViewStore {
         let measured: Vec<(u32, u64)> = views.iter().map(|(&m, c)| (m, c.len() as u64)).collect();
         let lattice = lattice.with_measured_sizes(&measured);
         let (pages, files) = seal_views(&views);
-        let base_dense = views.get(&top).and_then(|b| dense_base_of(b, cards));
         Ok(Self {
             lattice,
             views,
             pages,
             files,
-            base_dense,
             decoded: RwLock::default(),
             streamed: RwLock::default(),
         })
@@ -432,14 +385,12 @@ impl ViewStore {
     /// ROADMAP for the partial-reseal idea that could lift the floor.
     ///
     /// Validation is fully up-front — arity, finite measures (a NaN measure
-    /// would silently poison every aggregate *and* collide with the dense
-    /// base array's empty-cell sentinel), and the grown lattice — so a
+    /// would silently poison every aggregate), and the grown lattice — so a
     /// rejected batch cannot leave a half-applied store behind.
     ///
     /// A batch may carry coordinates beyond the store's current
     /// cardinalities (declared via the delta's own `cards`): the lattice
-    /// grows to the element-wise maximum and the dense base organization
-    /// absorbs the growth as \[RZ86\] increment segments.
+    /// grows to the element-wise maximum.
     pub fn fold_delta(&self, delta: &FactInput) -> Result<(ViewStore, DeltaReport)> {
         self.fold_delta_observed(delta, &mut || {})
     }
@@ -477,9 +428,8 @@ impl ViewStore {
         on_view_sealed: &mut dyn FnMut(),
     ) -> Result<(ViewStore, DeltaReport)> {
         self.validate_delta(delta)?;
-        let old_cards = self.lattice.cards();
         let new_cards: Vec<usize> =
-            old_cards.iter().zip(delta.cards()).map(|(&a, &b)| a.max(b)).collect();
+            self.lattice.cards().iter().zip(delta.cards()).map(|(&a, &b)| a.max(b)).collect();
         let lattice =
             Lattice::new(&new_cards, self.lattice.base_rows().saturating_add(delta.len() as u64))?;
         let top = lattice.top();
@@ -518,46 +468,15 @@ impl ViewStore {
             }
         }
 
-        // Grow the dense base organization by increment segments for any
-        // dimension that saw new values, then write the touched cells'
-        // post-fold sums. (Dropped, not restructured, if growth pushed the
-        // cross product past the dense limit.)
-        let mut extended_dims = Vec::new();
-        let mut base_dense = match &self.base_dense {
-            Some(arr) if dense_cell_count(&new_cards).is_some() => Some(arr.clone()),
-            _ => None,
-        };
-        if let Some(arr) = base_dense.as_mut() {
-            for (d, (&old, &new)) in old_cards.iter().zip(&new_cards).enumerate() {
-                if new > old {
-                    arr.extend(d, new - old)?;
-                    extended_dims.push((d, new - old));
-                }
-            }
-            if let Some(base) = views.get(&top) {
-                let mut coords = vec![0usize; new_cards.len()];
-                for key in &touched_base {
-                    for (c, &k) in coords.iter_mut().zip(key.iter()) {
-                        *c = k as usize;
-                    }
-                    if let Some(state) = base.get(key) {
-                        arr.set(&coords, state.sum)?;
-                    }
-                }
-            }
-        }
-
         let measured: Vec<(u32, u64)> = views.iter().map(|(&m, c)| (m, c.len() as u64)).collect();
         let lattice = lattice.with_measured_sizes(&measured);
         let (pages, files) = self.seal_successor(&views, on_view_sealed);
-        let report =
-            DeltaReport { rows: delta.len() as u64, touched_base, cells_touched, extended_dims };
+        let report = DeltaReport { rows: delta.len() as u64, touched_base, cells_touched };
         let next = ViewStore {
             lattice,
             views,
             pages,
             files,
-            base_dense,
             decoded: RwLock::default(),
             streamed: RwLock::default(),
         };
@@ -608,12 +527,6 @@ impl ViewStore {
     /// differential maintenance tests and sizing.
     pub fn view(&self, mask: u32) -> Option<&Cuboid> {
         self.views.get(&mask)
-    }
-
-    /// The dense extendible-array base organization, if the cross product
-    /// fits the dense limit. Deltas grow it by increment segments.
-    pub fn dense_base(&self) -> Option<&ExtendibleArray> {
-        self.base_dense.as_ref()
     }
 
     /// The materialized catalog the planner's lattice pass routes against:

@@ -596,7 +596,7 @@ impl ShardedViewStore {
     /// A filter on the routing dimension prunes the scatter: only shards
     /// that can own a matching row are planned and executed at all, so a
     /// selective slice on the shard key costs one shard's scan, not N
-    /// (the subcube-partitioning payoff of §6.4, measured in E30).
+    /// (the subcube-partitioning payoff of §6.4).
     pub fn execute_filtered(
         &self,
         mask: u32,

@@ -539,8 +539,7 @@ impl SharedViewStore {
 
     /// Recomputes every materialized view from `facts` and swaps the result
     /// in wholesale, dropping the whole cache — the pre-incremental
-    /// maintenance path, kept for full re-materializations and as the
-    /// baseline exp27 measures [`SharedViewStore::apply_delta`] against.
+    /// maintenance path, kept for full re-materializations.
     /// The successor's file epochs continue the current store's, so entries
     /// admitted by readers mid-swap can never falsely match it. On a durable
     /// store the rebuilt content is checkpointed — a fresh snapshot record

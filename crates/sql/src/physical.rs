@@ -477,6 +477,10 @@ pub struct ShardedPhysicalAnswer {
     pub shard_count: usize,
     /// Bit `i` set ⇔ shard `i` contributed nothing to the rows.
     pub missing_shards: u32,
+    /// Bit `i` set ⇔ shard `i` was pruned: a filter on the routing
+    /// dimension proved it owns no matching row, so it was never scattered
+    /// to. Pruned is not missing — the rows are complete.
+    pub pruned_shards: u32,
 }
 
 impl ShardedPhysicalAnswer {
@@ -579,6 +583,7 @@ impl ShardedSession {
                 answer: ans,
                 shard_count: self.store.shard_count(),
                 missing_shards: 0,
+                pruned_shards: 0,
             });
         }
 
@@ -670,6 +675,7 @@ impl ShardedSession {
             },
             shard_count: gathered.shard_count,
             missing_shards: gathered.missing_shards,
+            pruned_shards: gathered.pruned_shards,
         })
     }
 
@@ -1000,6 +1006,26 @@ mod tests {
         session.store().apply_delta(&delta).unwrap();
         let after = session.execute_str(sql).unwrap();
         assert!((sum(&after.answer.result) - sum(&before.answer.result) - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sharded_session_reports_pruned_shards() {
+        let o = retail();
+        let session = ShardedSession::with_views(
+            &o,
+            &[],
+            ShardRouter::Hash { dim: 0 },
+            3,
+            CacheConfig::default(),
+        )
+        .unwrap();
+        let slice = session
+            .execute_str("SELECT SUM(amount) FROM sales WHERE product = 'pear' GROUP BY store")
+            .unwrap();
+        assert_eq!(slice.pruned_shards.count_ones(), 2, "a product slice owns one of 3 shards");
+        assert!(!slice.is_partial(), "pruned shards are not missing");
+        let whole = session.execute_str("SELECT SUM(amount) FROM sales GROUP BY store").unwrap();
+        assert_eq!(whole.pruned_shards, 0);
     }
 
     #[test]

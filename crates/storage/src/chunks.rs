@@ -5,8 +5,8 @@
 //! encoded column answers `SUM`/`COUNT` without ever decoding, and a
 //! bit-sliced column yields selection bitmaps that mask a dense value
 //! vector. This module supplies the chunk representation and the fused
-//! aggregation kernels the vectorized executor and the E29 experiment
-//! consume — the storage-side mirror of the plan-layer kernels in
+//! aggregation kernels the vectorized executor consumes — the
+//! storage-side mirror of the plan-layer kernels in
 //! `statcube_core::plan` ([`AggState`] is the shared accumulator, so a
 //! chunk aggregated here merges bit-for-bit with a block derived there).
 //!

@@ -15,7 +15,7 @@ use statcube_core::error::{Error, Result};
 use crate::btree::BPlusTree;
 use crate::io_stats::IoStats;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Segment {
     /// Which dimension this extension grew (the initial allocation is
     /// recorded as an extension of dimension 0 from index 0).
@@ -52,20 +52,6 @@ pub struct ExtendibleArray {
     /// the multidimensional increments.
     axis: Vec<BPlusTree>,
     io: IoStats,
-}
-
-impl Clone for ExtendibleArray {
-    /// Clones the cells, segments and increment index. [`IoStats`] counters
-    /// are atomics with no `Clone`; the copy starts with fresh (zeroed)
-    /// counters at the same page size, since the clone has done no I/O yet.
-    fn clone(&self) -> Self {
-        Self {
-            dims: self.dims.clone(),
-            segments: self.segments.clone(),
-            axis: self.axis.clone(),
-            io: IoStats::labeled(self.io.page_size(), "extendible"),
-        }
-    }
 }
 
 impl ExtendibleArray {

@@ -159,8 +159,9 @@ fn assert_bit_identical(batched: &PlanExecution, oracle: &PlanExecution, label: 
 }
 
 /// Per-object plan mix: CUBE with a pushed-down predicate (prefix and hash
-/// derivations plus the apex), ROLLUP, and a single non-prefix grouping
-/// (dimension 1 alone always takes the hash path).
+/// derivations plus the apex), an unfiltered CUBE over up to three
+/// dimensions, ROLLUP, and a single non-prefix grouping (dimension 1 alone
+/// always takes the hash path).
 fn plans_for(obj: &StatisticalObject) -> Vec<Plan> {
     let dims: Vec<String> = obj.schema().dimensions().iter().map(|d| d.name().to_owned()).collect();
     let aggs: Vec<AggRequest> = obj
@@ -180,6 +181,11 @@ fn plans_for(obj: &StatisticalObject) -> Vec<Plan> {
         Plan::scan(obj.schema().name())
             .select(vec![PlanPredicate::eq(dims[0].clone(), member)])
             .grouping_sets(dims[..2].to_vec(), GroupingSpec::Cube, aggs.clone()),
+        Plan::scan(obj.schema().name()).grouping_sets(
+            dims[..n].to_vec(),
+            GroupingSpec::Cube,
+            aggs.clone(),
+        ),
         Plan::scan(obj.schema().name()).grouping_sets(
             dims[..n].to_vec(),
             GroupingSpec::Rollup,
@@ -301,6 +307,10 @@ fn rle_kernel_matches_decoded_scan_on_workload_columns() {
             );
         }
         assert_eq!(aggregate_chunks(run_chunks(&rle, 7)), oracle, "{label}: run chunks");
+        // Sorted, the same column collapses into long runs.
+        let mut sorted = values.clone();
+        sorted.sort_by(f64::total_cmp);
+        assert_eq!(aggregate_runs(Rle::encode(&sorted).runs()), oracle, "{label}: sorted runs");
     }
 }
 

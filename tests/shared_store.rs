@@ -274,6 +274,21 @@ fn untouched_cache_entries_survive_a_delta_and_still_hit() {
     let p = store.answer_with_policy(0b011, &policy, PlannerConfig::default()).unwrap();
     assert!(!p.cache_hit, "policy-keyed entry must drop after the delta");
     assert!(store.answer_with_policy(0b011, &policy, PlannerConfig::default()).unwrap().cache_hit);
+
+    // Survival repeats: each fold re-pins the untouched entries to its own
+    // epoch, so a run of deltas confined to slice 5 keeps every other slice
+    // hitting throughout.
+    for round in 0..5u32 {
+        let mut d = FactInput::new(f.cards()).unwrap();
+        d.push(&[5, round % 4, round % 2], 1_000.0).unwrap();
+        store.apply_delta(&d).unwrap();
+        for d0 in (0..8u32).filter(|&d0| d0 != 5) {
+            assert!(
+                store.answer_cell(&[Some(d0), None, None]).unwrap().cache_hit,
+                "slice {d0}'s entry was dropped by untouched delta {round}"
+            );
+        }
+    }
 }
 
 /// N readers, one writer, generation arithmetic: each of 20 published
